@@ -29,7 +29,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/status.h"
@@ -119,7 +118,7 @@ struct BlockConfig {
 
   /// Validating factory for the tuning path: returns InvalidArgument for
   /// any block the packing layouts cannot honor exactly (instead of the
-  /// silent clamping FromTileShape applies).
+  /// silent clamping GemmCore applies).
   static Result<BlockConfig> Make(
       int mc, int kc, int nc,
       ParallelScheme scheme = ParallelScheme::kLoopLevel,
@@ -132,20 +131,6 @@ struct BlockConfig {
     c.isa = isa;
     c.prefetch = prefetch;
     BOLT_RETURN_IF_ERROR(c.Validate());
-    return c;
-  }
-
-  /// Derives CPU block sizes from a cutlite-style tile shape, clamping to
-  /// micro-tile multiples.  Used to share one config vocabulary between
-  /// the simulated GPU kernels and the real CPU kernels.  Non-positive
-  /// tile dims are clamped to the minimum legal block (they can reach
-  /// here from hand-built KernelConfigs); the result always satisfies
-  /// Validate().
-  static BlockConfig FromTileShape(int tb_m, int tb_n, int tb_k) {
-    BlockConfig c;
-    c.mc = std::max(kMR, (std::max(tb_m, 0) / kMR) * kMR);
-    c.nc = std::max(kNR, (std::max(tb_n, 0) / kNR) * kNR);
-    c.kc = std::max(8, tb_k);
     return c;
   }
 

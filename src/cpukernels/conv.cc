@@ -5,7 +5,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "cpukernels/gemm.h"
 #include "cpukernels/internal.h"
 
 namespace bolt {
@@ -210,7 +209,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const ConvParams& p,
                               p.pad_h == 0 && p.pad_w == 0;
   if (pointwise_nhwc) {
     // 1x1 fast path: the NHWC input already is the [M, K] GEMM operand.
-    GemmRaw(m, n, k, xd, wd, dd, epi, cfg, pool);
+    internal::GemmRawCore(m, n, k, xd, wd, dd, epi, cfg, pool);
   } else {
     Im2colPacker pack{xd, d, p};
     if (d.nhwc) {
@@ -251,7 +250,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const ConvParams& p,
           std::chrono::steady_clock::now() - wall0)
           .count();
   us.Observe(wall_us);
-  if (sink.enabled() && !pointwise_nhwc) {
+  if (sink.enabled()) {
     sink.EmitSpan(trace::kPidCpu, sink.CurrentThreadLane(),
                   StrCat("cpu_conv_", d.n, "x", d.h, "x", d.w, "x", d.c,
                          "_k", d.oc, "_", d.kh, "x", d.kw),

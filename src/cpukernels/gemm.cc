@@ -43,6 +43,21 @@ inline void PackADirect(const float* a, int64_t lda, float* dst, int64_t i0,
 
 }  // namespace
 
+namespace internal {
+
+void GemmRawCore(int64_t m, int64_t n, int64_t k, const float* a,
+                 const float* w, float* d, const Epilogue& epi,
+                 const BlockConfig& cfg, ThreadPool* pool) {
+  GemmCore(
+      m, n, k, w, d, epi, cfg, pool,
+      [a, k](float* dst, int64_t i0, int64_t mcb, int64_t p0, int64_t kcb,
+             bool simd) { PackADirect(a, k, dst, i0, mcb, p0, kcb, simd); },
+      [n](int64_t i, int64_t j) { return i * n + j; },
+      /*contiguous_rows=*/true);
+}
+
+}  // namespace internal
+
 void GemmRaw(int64_t m, int64_t n, int64_t k, const float* a,
              const float* w, float* d, const Epilogue& epi,
              const BlockConfig& cfg, ThreadPool* pool) {
@@ -59,12 +74,7 @@ void GemmRaw(int64_t m, int64_t n, int64_t k, const float* a,
   const double t0 = sink.enabled() ? sink.NowUs() : 0.0;
   const auto wall0 = std::chrono::steady_clock::now();
 
-  internal::GemmCore(
-      m, n, k, w, d, epi, cfg, pool,
-      [a, k](float* dst, int64_t i0, int64_t mcb, int64_t p0, int64_t kcb,
-             bool simd) { PackADirect(a, k, dst, i0, mcb, p0, kcb, simd); },
-      [n](int64_t i, int64_t j) { return i * n + j; },
-      /*contiguous_rows=*/true);
+  internal::GemmRawCore(m, n, k, a, w, d, epi, cfg, pool);
 
   const double wall_us =
       std::chrono::duration<double, std::micro>(

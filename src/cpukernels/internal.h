@@ -15,6 +15,12 @@
 //           acc += Ap x Bp over the kc slice
 //           last pc slice: fused epilogue on write-back
 //
+// A launch with fewer mc row panels than pool participants (small M: the
+// batch-1 tail of a CNN, a serving MLP) cannot fill the pool by rows, so
+// it splits the output columns instead: one ParallelFor over (row panel,
+// nr-aligned column chunk) pairs, each running the serial nest above on
+// its own columns (see GemmCore).
+//
 // The micro-tile column count nr is an ISA property: 8 for the scalar and
 // AVX2 kernels, 16 for AVX-512.  The packed-B strip width and the jr loop
 // follow the resolved nr; the packed-A layout (kMR-interleaved) is shared
@@ -38,6 +44,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -199,20 +206,23 @@ inline void PrefetchPanel(const float* p, int64_t count) {
   }
 }
 
-/// Runs the full jc/pc cache-loop nest over output rows [m_lo, m_hi).
-/// When `pool` is non-null, row panels inside each (jc, pc) block are
-/// computed in parallel (loop-level parallelism); with a null pool the
-/// nest is fully serial.  See GemmCore below for the pack_a / dindex
-/// contracts.
+/// Runs the full jc/pc cache-loop nest over output rows [m_lo, m_hi) and
+/// columns [n_lo, n_hi).  `n_lo` must be a multiple of plan.nr, and
+/// `n_hi` one too unless it is the matrix's last column, so micro-tile
+/// strips never straddle a column range.  When `pool` is non-null, row
+/// panels inside each (jc, pc) block are computed in parallel (loop-level
+/// parallelism); with a null pool the nest is fully serial.  See GemmCore
+/// below for the pack_a / dindex contracts.
 template <typename PackAFn, typename DIndexFn>
-void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
-                  const float* w, float* d, const Epilogue& epi, int64_t mc,
-                  int64_t kc, int64_t nc, const LaunchPlan& plan,
-                  ThreadPool* pool, PackAFn&& pack_a, DIndexFn&& dindex) {
+void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n_lo, int64_t n_hi,
+                  int64_t k, const float* w, float* d, const Epilogue& epi,
+                  int64_t mc, int64_t kc, int64_t nc,
+                  const LaunchPlan& plan, ThreadPool* pool,
+                  PackAFn&& pack_a, DIndexFn&& dindex) {
   const int64_t nr = plan.nr;
   std::vector<float> bpanel;
-  for (int64_t jc = 0; jc < n; jc += nc) {
-    const int64_t ncb = std::min(nc, n - jc);
+  for (int64_t jc = n_lo; jc < n_hi; jc += nc) {
+    const int64_t ncb = std::min(nc, n_hi - jc);
     const int64_t jstrips = CeilDiv(ncb, nr);
     // K == 0 degenerates to an epilogue-only pass over zero accumulators.
     const int64_t kblocks = std::max<int64_t>(1, CeilDiv(k, kc));
@@ -225,10 +235,10 @@ void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
                         kcb, 1)));
       if (kcb > 0) {
         if (plan.simd_pack) {
-          PackBPanelSimd(w, k, n, jc, ncb, pc, kcb, nr, plan.prefetch,
+          PackBPanelSimd(w, k, n_hi, jc, ncb, pc, kcb, nr, plan.prefetch,
                          bpanel.data());
         } else {
-          PackB(w, k, n, jc, ncb, pc, kcb, nr, bpanel.data());
+          PackB(w, k, n_hi, jc, ncb, pc, kcb, nr, bpanel.data());
         }
       }
 
@@ -245,7 +255,7 @@ void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
         for (int64_t js = 0; js < jstrips; ++js) {
           const float* bp = bpanel.data() + js * kcb * nr;
           const int64_t j0 = jc + js * nr;
-          const int64_t jn = std::min<int64_t>(nr, n - j0);
+          const int64_t jn = std::min<int64_t>(nr, n_hi - j0);
           for (int64_t is = 0; is < istrips; ++is) {
             const float* ap = apanel.data() + is * kcb * kMR;
             const int64_t gi0 = i0 + is * kMR;
@@ -309,6 +319,12 @@ void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
   }
 }
 
+/// The fewest multiply-adds a column chunk of its own must carry.  Below
+/// it, waking a pool worker costs the launch more than the chunk saves:
+/// a serving MLP's batch-1 and batch-2 64x256 layers stay on the calling
+/// thread, its batch-8 layers split three ways.
+inline constexpr int64_t kMinColumnChunkMacs = int64_t{1} << 15;
+
 /// Blocked GEMM core: D[m, n] (+)= A[m, k] x W[n, k]^T with the epilogue
 /// fused into the final write-back.
 ///
@@ -331,11 +347,17 @@ void GemmCoreRows(int64_t m_lo, int64_t m_hi, int64_t n, int64_t k,
 /// loop-level fans row panels out inside every (jc, pc) block;
 /// batch-level splits the rows into one contiguous mc-aligned chunk per
 /// thread and runs the full serial nest per chunk (packed B duplicated
-/// per chunk, one barrier total).  Both schemes accumulate each output
-/// element's K terms in the same ascending order, so results stay
-/// bit-identical to the reference kernels regardless of scheme or thread
-/// count.  The caller participates in ParallelFor, so nesting under other
-/// loops is safe.
+/// per chunk, one barrier total).  Under either scheme, a launch with
+/// fewer row panels than pool participants (workers plus the caller)
+/// splits the columns instead: every (row panel, nr-aligned column chunk)
+/// pair runs the serial nest on its own B columns, one barrier total.  A
+/// single-panel launch too small for two kMinColumnChunkMacs chunks stays
+/// on the calling thread.
+/// Every split accumulates each output element's K terms in the same
+/// ascending order over the same kc slices, so results stay bit-identical
+/// to the reference kernels regardless of scheme, split or thread count.
+/// The caller participates in ParallelFor, so nesting under other loops
+/// is safe.
 template <typename PackAFn, typename DIndexFn>
 void GemmCore(int64_t m, int64_t n, int64_t k, const float* w, float* d,
               const Epilogue& epi, const BlockConfig& cfg, ThreadPool* pool,
@@ -373,26 +395,55 @@ void GemmCore(int64_t m, int64_t n, int64_t k, const float* w, float* d,
   }
 
   const int64_t iblocks = CeilDiv(m, mc);
+  const int64_t participants =
+      pool != nullptr ? pool->num_threads() + 1 : 1;
+  if (iblocks < participants) {
+    // Column split: up to one contiguous nr-aligned chunk of columns per
+    // participant, each carrying at least kMinColumnChunkMacs, crossed
+    // with every row panel.  Each pair packs only its own B columns.
+    const int64_t strips = CeilDiv(n, plan.nr);
+    const int64_t work_chunks =
+        std::max<int64_t>(1, m * n * k / kMinColumnChunkMacs);
+    const int64_t strips_per_chunk =
+        CeilDiv(strips, std::min({strips, participants, work_chunks}));
+    const int64_t chunks = CeilDiv(strips, strips_per_chunk);
+    const int64_t chunk_cols = strips_per_chunk * plan.nr;
+    pool->ParallelFor(iblocks * chunks, [&](int64_t t) {
+      const int64_t i_lo = (t / chunks) * mc;
+      const int64_t n_lo = (t % chunks) * chunk_cols;
+      GemmCoreRows(i_lo, std::min(m, i_lo + mc), n_lo,
+                   std::min(n, n_lo + chunk_cols), k, w, d, epi, mc, kc,
+                   nc, plan, nullptr, pack_a, dindex);
+    });
+    return;
+  }
   if (pool != nullptr && cfg.scheme == ParallelScheme::kBatchLevel &&
       iblocks > 1) {
     // One contiguous mc-aligned row chunk per participant (workers plus
     // the calling thread); each chunk runs the whole nest serially.
-    const int64_t chunks =
-        std::min<int64_t>(iblocks, pool->num_threads() + 1);
+    const int64_t chunks = std::min(iblocks, participants);
     const int64_t blocks_per_chunk = CeilDiv(iblocks, chunks);
     pool->ParallelFor(chunks, [&](int64_t c) {
       const int64_t lo = c * blocks_per_chunk * mc;
       const int64_t hi =
           std::min<int64_t>(m, (c + 1) * blocks_per_chunk * mc);
       if (lo >= hi) return;
-      GemmCoreRows(lo, hi, n, k, w, d, epi, mc, kc, nc, plan, nullptr,
+      GemmCoreRows(lo, hi, 0, n, k, w, d, epi, mc, kc, nc, plan, nullptr,
                    pack_a, dindex);
     });
     return;
   }
-  GemmCoreRows(0, m, n, k, w, d, epi, mc, kc, nc, plan, pool, pack_a,
+  GemmCoreRows(0, m, 0, n, k, w, d, epi, mc, kc, nc, plan, pool, pack_a,
                dindex);
 }
+
+/// GemmRaw (gemm.h) without the launch accounting — no counters, no
+/// histogram, no span — for kernels that account the launch themselves:
+/// the pointwise conv fast path is one `cpu.conv` launch, not also a
+/// `cpu.gemm` one.
+void GemmRawCore(int64_t m, int64_t n, int64_t k, const float* a,
+                 const float* w, float* d, const Epilogue& epi,
+                 const BlockConfig& cfg, ThreadPool* pool);
 
 }  // namespace internal
 }  // namespace cpukernels

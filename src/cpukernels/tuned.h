@@ -6,7 +6,7 @@
 // The profiler measures BlockConfig candidates per GEMM problem shape and
 // publishes the winner here; the interpreter, the engine's host ops, and
 // cutlite's functional delegation look the shape up at execution time and
-// fall back to the FromTileShape heuristic on a miss.  The registry lives
+// fall back to the default BlockConfig{} on a miss.  The registry lives
 // in cpukernels (the lowest layer) so cutlite can consult it without
 // depending on the profiler.
 //

@@ -45,11 +45,13 @@ Result<Tensor> Conv2dKernel::Run(const Tensor& x, const Tensor& weight,
   if (epilogue_.has_bias) BOLT_CHECK(bias != nullptr);
 
   const int64_t oh = p.out_h(), ow = p.out_w();
-  if (config_.split_k == 1 && !epilogue_.column_reduction &&
+  if (!epilogue_.column_reduction &&
       cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu) {
     // Delegate to the blocked implicit-GEMM CPU kernel (same ascending
     // (r, s, c) accumulation order and epilogue arithmetic — results are
     // bit-identical to the direct loop below up to the sign of zero).
+    // Whatever the config's split_k: the direct loop never emulated
+    // split-K either, so split_k stays a simulated-GPU timing axis.
     cpukernels::ConvParams cp;
     cp.stride_h = p.stride_h;
     cp.stride_w = p.stride_w;
@@ -66,15 +68,13 @@ Result<Tensor> Conv2dKernel::Run(const Tensor& x, const Tensor& weight,
     epi.acts = epilogue_.activations;
     epi.output_dtype = epilogue_.output_dtype;
     // A profiler-tuned block for this implicit-GEMM shape wins over the
-    // threadblock-derived heuristic (cpukernels/tuned.h).
+    // default blocking (cpukernels/tuned.h).
     const cpukernels::ConvGemmShape shape =
         cpukernels::ResolveConvGemmShape(x, weight, cp);
-    cpukernels::BlockConfig block =
+    const cpukernels::BlockConfig block =
         cpukernels::FindTunedBlock(cpukernels::TunedKind::kConv, shape.m,
                                    shape.n, shape.k, x.layout())
-            .value_or(cpukernels::BlockConfig::FromTileShape(
-                config_.threadblock.m, config_.threadblock.n,
-                config_.threadblock.k));
+            .value_or(cpukernels::BlockConfig{});
     return cpukernels::Conv2d(x, weight, cp, epi, block,
                               &cpukernels::ProcessPool());
   }

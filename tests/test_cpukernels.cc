@@ -10,12 +10,15 @@
 
 #include <cstring>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "cpukernels/backend.h"
 #include "cpukernels/conv.h"
+#include "cpukernels/cpuinfo.h"
 #include "cpukernels/gemm.h"
+#include "cpukernels/internal.h"
 #include "ir/graph.h"
 #include "ir/interpreter.h"
 #include "testing/diff_harness.h"
@@ -307,6 +310,152 @@ TEST(CpuConvTest, BitwiseDeterministicAcrossThreadCounts) {
                           serial.data().size() * sizeof(float)),
               0)
         << threads << " threads";
+  }
+}
+
+TEST(CpuConvTest, PointwiseNhwcCountsOneConvLaunch) {
+  // The 1x1 stride-1 NHWC fast path runs the GEMM core directly: one
+  // kernel launch is one cpu.conv count, never also a cpu.gemm one.
+  Tensor x = RandomTensor(
+      TensorDesc(DType::kFloat16, {1, 6, 6, 16}, Layout::kNHWC), 23);
+  Tensor w = RandomTensor(TensorDesc(DType::kFloat16, {24, 1, 1, 16}), 24);
+  cpukernels::Epilogue epi;
+  epi.output_dtype = DType::kFloat16;
+  epi.boundary_quantize = true;
+  metrics::Registry& reg = metrics::Registry::Global();
+  const int64_t conv0 = reg.GetCounter("cpu.conv.launches").value();
+  const int64_t conv_flops0 = reg.GetCounter("cpu.conv.flops").value();
+  const int64_t gemm0 = reg.GetCounter("cpu.gemm.launches").value();
+  const int64_t gemm_flops0 = reg.GetCounter("cpu.gemm.flops").value();
+  Tensor got = cpukernels::Conv2d(x, w, Params(Attrs(1, 0)), epi);
+  EXPECT_EQ(reg.GetCounter("cpu.conv.launches").value(), conv0 + 1);
+  EXPECT_EQ(reg.GetCounter("cpu.conv.flops").value(),
+            conv_flops0 + 2 * 36 * 24 * 16);
+  EXPECT_EQ(reg.GetCounter("cpu.gemm.launches").value(), gemm0);
+  EXPECT_EQ(reg.GetCounter("cpu.gemm.flops").value(), gemm_flops0);
+  EXPECT_EQ(got.MaxAbsDiff(refop::Conv2d(x, w, Attrs(1, 0))), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Small-M launches: a launch with fewer mc row panels than pool
+// participants (workers + caller) splits the output columns instead of
+// the rows (internal.h).  With the default mc = 64, m = 196 (4 panels)
+// keeps the row split under 1- and 2-worker pools and takes the column
+// split under 4 workers; m <= 64 takes the column split under every pool.
+// K is deep enough that even m = 1, n = 100 carries two
+// kMinColumnChunkMacs chunks.  n = 100 and 130 leave a remainder strip at
+// nr = 8 and nr = 16.
+// ---------------------------------------------------------------------------
+
+// m = side * side = 1, 4, 16, 49, 196: the spatial size of a batch-1
+// conv's output, and the GEMM row count.
+const int64_t kSplitSides[] = {1, 2, 4, 7, 14};
+const int64_t kSplitNs[] = {100, 130, 512};
+
+/// Runs `launch(cfg, pool)` under both parallel schemes and 1/2/4-worker
+/// pools.  Each result must match `want` at the resolved tier (bit-exact
+/// at scalar) and equal the serial launch bit for bit at every tier: each
+/// split keeps every element's ascending-k sum over the same kc slices.
+template <typename LaunchFn>
+void ExpectEverySplitMatches(const std::string& op, const Tensor& want,
+                             LaunchFn&& launch) {
+  static ThreadPool pool1(1), pool2(2), pool4(4);
+  const cpukernels::BlockConfig serial_cfg;
+  const Tensor serial = launch(serial_cfg, nullptr);
+  const difftest::Tolerance tol = difftest::ToleranceFor(
+      cpukernels::ResolveCpuIsa(serial_cfg.isa), want.dtype());
+  EXPECT_TRUE(difftest::CheckDiff(op, serial, want, tol)) << "serial";
+  for (cpukernels::ParallelScheme scheme :
+       {cpukernels::ParallelScheme::kLoopLevel,
+        cpukernels::ParallelScheme::kBatchLevel}) {
+    cpukernels::BlockConfig cfg;
+    cfg.scheme = scheme;
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      SCOPED_TRACE(StrCat(cpukernels::ParallelSchemeName(scheme), " ",
+                          pool->num_threads(), " workers"));
+      const Tensor got = launch(cfg, pool);
+      EXPECT_TRUE(difftest::CheckDiff(op, got, want, tol));
+      ASSERT_EQ(got.data().size(), serial.data().size());
+      EXPECT_EQ(std::memcmp(got.data().data(), serial.data().data(),
+                            got.data().size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(CpuSplitTest, GemmMatchesReferenceOnBothSidesOfTheSplitRule) {
+  const int64_t k = 704;
+  ASSERT_GE(1 * 100 * k, 2 * cpukernels::internal::kMinColumnChunkMacs);
+  for (int64_t side : kSplitSides) {
+    const int64_t m = side * side;
+    for (int64_t n : kSplitNs) {
+      SCOPED_TRACE(StrCat("m=", m, " n=", n));
+      Tensor a = RandomTensor(TensorDesc(DType::kFloat16, {m, k}), 50 + m);
+      Tensor w = RandomTensor(TensorDesc(DType::kFloat16, {n, k}), 60 + n);
+      Tensor bias = RandomTensor(TensorDesc(DType::kFloat16, {n}), 70 + n);
+      Tensor res =
+          RandomTensor(TensorDesc(DType::kFloat16, {m, n}), 80 + m + n);
+      cpukernels::Epilogue epi;
+      epi.output_dtype = DType::kFloat16;
+      epi.boundary_quantize = true;
+      epi.bias = bias.data().data();
+      epi.acts = {ActivationKind::kRelu};
+      epi.residual = res.data().data();
+      const Tensor want = refop::Add(
+          refop::Activation(refop::BiasAdd(refop::Dense(a, w), bias),
+                            ActivationKind::kRelu),
+          res);
+      ExpectEverySplitMatches(
+          "gemm", want,
+          [&](const cpukernels::BlockConfig& cfg, ThreadPool* pool) {
+            return cpukernels::Gemm(a, w, epi, cfg, pool);
+          });
+    }
+  }
+}
+
+TEST(CpuSplitTest, ConvMatchesReferenceOnBothSidesOfTheSplitRule) {
+  // A 3x3 same-pad conv: m = side * side output pixels.  NCHWc needs
+  // OC % 8 == 0, so it runs the nearest aligned widths (104, 136), which
+  // still leave a remainder strip at nr = 16.
+  const int64_t c = 80;
+  ASSERT_GE(1 * 100 * 9 * c, 2 * cpukernels::internal::kMinColumnChunkMacs);
+  const Conv2dAttrs attrs = Attrs(1, 1);
+  for (int64_t side : kSplitSides) {
+    const int64_t m = side * side;
+    for (Layout layout : {Layout::kNHWC, Layout::kNCHW, Layout::kNCHWc}) {
+      for (int64_t n : kSplitNs) {
+        const int64_t oc = layout == Layout::kNCHWc
+                               ? (n + kNCHWcBlock - 1) / kNCHWcBlock *
+                                     kNCHWcBlock
+                               : n;
+        SCOPED_TRACE(
+            StrCat("m=", m, " oc=", oc, " ", LayoutName(layout)));
+        const std::vector<int64_t> xs =
+            layout == Layout::kNHWC
+                ? std::vector<int64_t>{1, side, side, c}
+                : std::vector<int64_t>{1, c, side, side};
+        Tensor x = RandomTensor(TensorDesc(DType::kFloat16, xs, layout),
+                                90 + m);
+        Tensor w = RandomTensor(
+            TensorDesc(DType::kFloat16, {oc, 3, 3, c}), 100 + oc);
+        Tensor bias =
+            RandomTensor(TensorDesc(DType::kFloat16, {oc}), 110 + oc);
+        cpukernels::Epilogue epi;
+        epi.output_dtype = DType::kFloat16;
+        epi.boundary_quantize = true;
+        epi.bias = bias.data().data();
+        epi.acts = {ActivationKind::kRelu};
+        const Tensor want = refop::Activation(
+            refop::BiasAdd(refop::Conv2d(x, w, attrs), bias),
+            ActivationKind::kRelu);
+        ExpectEverySplitMatches(
+            "conv", want,
+            [&](const cpukernels::BlockConfig& cfg, ThreadPool* pool) {
+              return cpukernels::Conv2d(x, w, Params(attrs), epi, cfg, pool);
+            });
+      }
+    }
   }
 }
 

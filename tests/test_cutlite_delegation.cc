@@ -1,25 +1,33 @@
 // Copyright (c) 2026 The Bolt Reproduction Authors.
 // SPDX-License-Identifier: Apache-2.0
 //
-// Cutlite's functional GEMM delegation to the blocked CPU backend:
+// Cutlite's functional GEMM and conv delegation to the blocked CPU
+// backend:
 //
-//  * the single-kernel path (split_k == 1, no column reduction) consults
-//    the tuned-block registry — observable through the
-//    cpu.tuned.lookup.{hit,miss} counters — and falls back to
-//    BlockConfig::FromTileShape on a miss, bit-identically either way;
-//  * split-K and column-reduction kernels keep the explicit tiled
-//    traversal and never touch the registry (a poisoned-looking entry for
-//    their exact problem shape must go unread).
+//  * the single-kernel GEMM path (split_k == 1, no column reduction)
+//    consults the tuned-block registry — observable through the
+//    cpu.tuned.lookup.{hit,miss} counters — and falls back to the default
+//    BlockConfig{} on a miss, bit-identically either way;
+//  * split-K and column-reduction GEMMs keep the explicit tiled traversal
+//    and never touch the registry (a poisoned-looking entry for their
+//    exact problem shape must go unread);
+//  * every conv without column reduction delegates, whatever its split_k
+//    (the direct loop never emulated split-K), with one registry lookup
+//    per run and the direct loop's results.
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "cpukernels/backend.h"
 #include "cpukernels/config.h"
+#include "cpukernels/cpuinfo.h"
 #include "cpukernels/tuned.h"
+#include "cutlite/conv.h"
 #include "cutlite/gemm.h"
 #include "ir/interpreter.h"
+#include "testing/diff_harness.h"
 
 namespace bolt {
 namespace cutlite {
@@ -83,7 +91,7 @@ TEST_F(CutliteDelegationTest, ConsultsTunedRegistryAndFallsBackOnMiss) {
   args.bias = &bias;
 
   // Empty registry: the delegation looks the shape up, misses, and uses
-  // the threadblock-derived FromTileShape heuristic.
+  // the default BlockConfig{}.
   const int64_t hits0 = Hits(), misses0 = Misses();
   auto miss_run = kernel.Run(args);
   ASSERT_TRUE(miss_run.ok());
@@ -91,8 +99,8 @@ TEST_F(CutliteDelegationTest, ConsultsTunedRegistryAndFallsBackOnMiss) {
   EXPECT_EQ(Misses(), misses0 + 1);
 
   // Registered winner for this exact problem shape: the lookup hits.
-  // FromTileShape(threadblock) would be 128x128/kc32, so a deliberately
-  // different blocking proves the registry entry is the one consulted.
+  // The default is 64x4096/kc256, so a deliberately different blocking
+  // proves the registry entry is the one consulted.
   auto tuned = cpukernels::BlockConfig::Make(8, 16, 8);
   ASSERT_TRUE(tuned.ok());
   ASSERT_TRUE(cpukernels::RegisterTunedBlock(cpukernels::TunedKind::kGemm,
@@ -176,6 +184,70 @@ TEST_F(CutliteDelegationTest, ColumnReductionSkipsRegistry) {
   EXPECT_EQ(Hits(), hits0);
   EXPECT_EQ(Misses(), misses0);
   EXPECT_EQ(column_sums.num_elements(), n);
+}
+
+TEST_F(CutliteDelegationTest, SplitKConvDelegatesAndMatchesDirectLoop) {
+  ConvProblem p;
+  p.h = p.w = 7;
+  p.c = 64;
+  p.k = 72;
+  p.pad_h = p.pad_w = 1;
+  const EpilogueSpec epi = EpilogueSpec::WithActivation(ActivationKind::kRelu);
+  Tensor x = difftest::RandomTensor(
+      TensorDesc(DType::kFloat16, {p.n, p.h, p.w, p.c}, Layout::kNHWC), 401);
+  Tensor w = difftest::RandomTensor(
+      TensorDesc(DType::kFloat16, {p.k, p.r, p.s, p.c}), 402);
+  Tensor bias = difftest::RandomTensor(
+      TensorDesc(DType::kFloat16, {p.k}, Layout::kRowMajor), 403);
+  const GemmCoord g = p.AsGemm();
+
+  // Column reduction keeps the direct loop on every backend, so this twin
+  // runs exactly what the ref backend runs for a conv — without touching
+  // the registry.
+  EpilogueSpec direct_epi = epi;
+  direct_epi.column_reduction = true;
+  const int64_t hits0 = Hits(), misses0 = Misses();
+  auto direct =
+      Conv2dKernel(p, DefaultConfig(), direct_epi).Run(x, w, &bias);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(Hits(), hits0);
+  EXPECT_EQ(Misses(), misses0);
+
+  // Scalar tier: MaxAbsDiff == 0 against the direct loop.
+  const difftest::Tolerance tol = difftest::ToleranceFor(
+      cpukernels::ResolveCpuIsa(cpukernels::CpuIsa::kAuto), DType::kFloat16);
+  for (int split_k : {2, 4, 8}) {
+    SCOPED_TRACE(StrCat("split_k=", split_k));
+    cpukernels::ClearTunedBlocks();
+    KernelConfig config = DefaultConfig();
+    config.split_k = split_k;
+    Conv2dKernel kernel(p, config, epi);
+    ASSERT_TRUE(kernel.CanImplement(kT4).ok());
+
+    // Empty registry: exactly one lookup, a miss.
+    int64_t h = Hits(), m = Misses();
+    auto miss_run = kernel.Run(x, w, &bias);
+    ASSERT_TRUE(miss_run.ok());
+    EXPECT_EQ(Hits(), h);
+    EXPECT_EQ(Misses(), m + 1);
+    EXPECT_TRUE(difftest::CheckDiff("conv", miss_run.value(),
+                                    direct.value(), tol));
+
+    // A tuned block for the implicit-GEMM shape: exactly one lookup, a hit.
+    auto tuned = cpukernels::BlockConfig::Make(8, 16, 8);
+    ASSERT_TRUE(tuned.ok());
+    ASSERT_TRUE(cpukernels::RegisterTunedBlock(
+        cpukernels::TunedKind::kConv, g.m, g.n, g.k, tuned.value(),
+        Layout::kNHWC));
+    h = Hits();
+    m = Misses();
+    auto hit_run = kernel.Run(x, w, &bias);
+    ASSERT_TRUE(hit_run.ok());
+    EXPECT_EQ(Hits(), h + 1);
+    EXPECT_EQ(Misses(), m);
+    EXPECT_TRUE(difftest::CheckDiff("conv", hit_run.value(),
+                                    direct.value(), tol));
+  }
 }
 
 }  // namespace
