@@ -7,9 +7,6 @@
 #include "codegen/emit.h"
 #include "common/trace.h"
 #include "cpukernels/backend.h"
-#include "cpukernels/conv.h"
-#include "cpukernels/gemm.h"
-#include "cpukernels/tuned.h"
 #include "cutlite/padding.h"
 #include "ir/interpreter.h"
 
@@ -68,6 +65,84 @@ std::string PassStatsDeltaJson(const PassStats& before,
   field("batchnorms_folded",
         after.batchnorms_folded - before.batchnorms_folded);
   return out;
+}
+
+/// The per-stage problems and epilogues of a persistent (b2b) composite:
+/// `gemm` is filled for bolt.b2b_gemm, `conv` for bolt.b2b_conv.
+struct B2bStages {
+  std::vector<GemmCoord> gemm;
+  std::vector<ConvProblem> conv;
+  std::vector<EpilogueSpec> epilogues;
+};
+
+B2bStages B2bStagesOf(const Graph& g, const Node& n) {
+  B2bStages st;
+  const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
+  for (int s = 0; s < stages; ++s) {
+    if (n.kind == OpKind::kBoltB2BGemm) {
+      st.gemm.push_back(GemmProblemOf(g, n, s));
+    } else {
+      st.conv.push_back(ConvProblemOf(g, n, s));
+    }
+    st.epilogues.push_back(EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
+  }
+  return st;
+}
+
+/// The executable form of a profiled epilogue: it stores at the node's
+/// declared precision, so an FP32 graph is not quantized through the
+/// EpilogueSpec's FP16 default.  The profiler and codegen keep the
+/// unstamped spec, so the simulated numbers do not depend on it.
+EpilogueSpec Stamped(EpilogueSpec e, DType output_dtype) {
+  e.output_dtype = output_dtype;
+  return e;
+}
+
+template <typename Stage>
+std::vector<Stage> Stamped(std::vector<Stage> stages, DType output_dtype) {
+  for (Stage& s : stages) s.epilogue.output_dtype = output_dtype;
+  return stages;
+}
+
+CpuGemmWorkload GemmWorkload(const GemmCoord& p, cpukernels::CpuIsa isa) {
+  CpuGemmWorkload w;
+  w.m = p.m;
+  w.n = p.n;
+  w.k = p.k;
+  w.isa = isa;
+  return w;
+}
+
+CpuConvWorkload ConvWorkload(const ConvProblem& p, cpukernels::CpuIsa isa) {
+  CpuConvWorkload w;
+  w.batch = p.n;
+  w.h = p.h;
+  w.w = p.w;
+  w.c = p.c;
+  w.oc = p.k;
+  w.kh = p.r;
+  w.kw = p.s;
+  w.params.stride_h = p.stride_h;
+  w.params.stride_w = p.stride_w;
+  w.params.pad_h = p.pad_h;
+  w.params.pad_w = p.pad_w;
+  w.isa = isa;
+  return w;
+}
+
+/// Binds a persistent kernel's per-stage operands — weight, then bias when
+/// the stage has one — from the node's inputs after the activation.
+template <typename Kernel>
+Result<Tensor> RunB2b(const Kernel& kernel, const Node& n,
+                      const std::vector<Tensor>& env) {
+  std::vector<const Tensor*> weights, biases;
+  int idx = 1;
+  for (const auto& stage : kernel.stages()) {
+    weights.push_back(&env[n.inputs[idx++]]);
+    biases.push_back(stage.epilogue.has_bias ? &env[n.inputs[idx++]]
+                                             : nullptr);
+  }
+  return kernel.Run(env[n.inputs[0]], weights, biases);
 }
 
 }  // namespace
@@ -160,6 +235,7 @@ Result<Engine> Engine::Compile(const Graph& input,
 
   engine.module_.set_execution_backend(
       cpukernels::BackendName(cpukernels::DefaultBackend()));
+  engine.interp_ = std::make_shared<const Interpreter>(*engine.graph_);
 
   // Simulated kernel-launch timeline, then persist everything collected so
   // far (tracing stays on; later compiles re-flush with more events).
@@ -176,51 +252,32 @@ void Engine::PreProfile(Profiler& profiler) {
   // Partitioned workloads are independent; profile them concurrently so
   // BuildModule's serial walk below hits a warm cache.  The profiler's
   // single-flight cache deduplicates repeated workloads across jobs.
+  const Graph& graph = *graph_;
   std::vector<std::function<void()>> jobs;
-  for (const Node& n : graph_.nodes()) {
+  for (const Node& n : graph.nodes()) {
     switch (n.kind) {
       case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
+        const GemmCoord p = GemmProblemOf(graph, n);
         const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
         jobs.push_back([&profiler, p, e] { profiler.ProfileGemm(p, e); });
         break;
       }
       case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
+        const ConvProblem p = ConvProblemOf(graph, n);
         const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
         jobs.push_back([&profiler, p, e] { profiler.ProfileConv(p, e); });
         break;
       }
-      case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<GemmCoord> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(GemmProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        jobs.push_back([&profiler, problems = std::move(problems),
-                        epilogues = std::move(epilogues)] {
-          profiler.ProfileB2bGemm(problems, epilogues);
+      case OpKind::kBoltB2BGemm:
+        jobs.push_back([&profiler, st = B2bStagesOf(graph, n)] {
+          profiler.ProfileB2bGemm(st.gemm, st.epilogues);
         });
         break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<ConvProblem> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(ConvProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        jobs.push_back([&profiler, problems = std::move(problems),
-                        epilogues = std::move(epilogues)] {
-          profiler.ProfileB2bConv(problems, epilogues);
+      case OpKind::kBoltB2BConv:
+        jobs.push_back([&profiler, st = B2bStagesOf(graph, n)] {
+          profiler.ProfileB2bConv(st.conv, st.epilogues);
         });
         break;
-      }
       default:
         break;
     }
@@ -234,7 +291,9 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
   // across nodes (and across compiles, via Save/LoadCache), so this walk
   // can be naive.  Measurement runs serially: each candidate launch may
   // itself fan out over the shared process pool.
-  auto record = [this](const CpuProfileResult& r) {
+  auto record = [this](const Result<CpuProfileResult>& result) -> Status {
+    if (!result.ok()) return result.status();
+    const CpuProfileResult& r = result.value();
     ++report_.cpu_workloads_tuned;
     if (r.cache_hit) {
       ++report_.cpu_cache_hits;
@@ -243,102 +302,49 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
       report_.cpu_candidates_enumerated += r.candidates_enumerated;
       if (r.ranked) ++report_.cpu_ranked_workloads;
     }
+    return Status::Ok();
   };
-  for (const Node& n : graph_.nodes()) {
+  const cpukernels::CpuIsa isa = options_.cpu_isa;
+  const Graph& graph = *graph_;
+  for (const Node& n : graph.nodes()) {
     switch (n.kind) {
-      case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
-        CpuGemmWorkload w;
-        w.m = p.m;
-        w.n = p.n;
-        w.k = p.k;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuGemm(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
+      case OpKind::kBoltGemm:
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuGemm(
+            GemmWorkload(GemmProblemOf(graph, n), isa))));
         break;
-      }
       case OpKind::kDense: {
         // Unfused host dense: act [m, k] x weight [n, k]^T.
-        const TensorDesc& a = graph_.node(n.inputs[0]).out_desc;
-        const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
+        const TensorDesc& a = graph.node(n.inputs[0]).out_desc;
+        const TensorDesc& wt = graph.node(n.inputs[1]).out_desc;
         if (a.shape.size() != 2 || wt.shape.size() != 2) break;
-        CpuGemmWorkload w;
-        w.m = a.shape[0];
-        w.n = wt.shape[0];
-        w.k = a.shape[1];
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuGemm(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuGemm(GemmWorkload(
+            GemmCoord(a.shape[0], wt.shape[0], a.shape[1]), isa))));
         break;
       }
-      case OpKind::kBoltB2BGemm: {
-        // Persistent fusions execute stage-by-stage on the host kernels,
-        // so each stage problem is its own tunable workload.
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        for (int s = 0; s < stages; ++s) {
-          const GemmCoord p = GemmProblemOf(graph_, n, s);
-          CpuGemmWorkload w;
-          w.m = p.m;
-          w.n = p.n;
-          w.k = p.k;
-          w.isa = options_.cpu_isa;
-          auto r = profiler.ProfileCpuGemm(w);
-          if (!r.ok()) return r.status();
-          record(r.value());
+      // Persistent fusions execute stage-by-stage on the host kernels, so
+      // each stage problem is its own tunable workload.
+      case OpKind::kBoltB2BGemm:
+        for (const GemmCoord& p : B2bStagesOf(graph, n).gemm) {
+          BOLT_RETURN_IF_ERROR(
+              record(profiler.ProfileCpuGemm(GemmWorkload(p, isa))));
         }
         break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        for (int s = 0; s < stages; ++s) {
-          const ConvProblem p = ConvProblemOf(graph_, n, s);
-          CpuConvWorkload w;
-          w.batch = p.n;
-          w.h = p.h;
-          w.w = p.w;
-          w.c = p.c;
-          w.oc = p.k;
-          w.kh = p.r;
-          w.kw = p.s;
-          w.params.stride_h = p.stride_h;
-          w.params.stride_w = p.stride_w;
-          w.params.pad_h = p.pad_h;
-          w.params.pad_w = p.pad_w;
-          w.isa = options_.cpu_isa;
-          auto r = profiler.ProfileCpuConv(w);
-          if (!r.ok()) return r.status();
-          record(r.value());
+      case OpKind::kBoltB2BConv:
+        for (const ConvProblem& p : B2bStagesOf(graph, n).conv) {
+          BOLT_RETURN_IF_ERROR(
+              record(profiler.ProfileCpuConv(ConvWorkload(p, isa))));
         }
         break;
-      }
-      case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
-        CpuConvWorkload w;
-        w.batch = p.n;
-        w.h = p.h;
-        w.w = p.w;
-        w.c = p.c;
-        w.oc = p.k;
-        w.kh = p.r;
-        w.kw = p.s;
-        w.params.stride_h = p.stride_h;
-        w.params.stride_w = p.stride_w;
-        w.params.pad_h = p.pad_h;
-        w.params.pad_w = p.pad_w;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuConv(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
+      case OpKind::kBoltConv2d:
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(
+            ConvWorkload(ConvProblemOf(graph, n), isa))));
         break;
-      }
       case OpKind::kConv2d: {
         // Unfused primitive conv (e.g. dilated) executed by the host
-        // kernels in Run().
+        // kernels through the interpreter.
         const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
-        const TensorDesc& x = graph_.node(n.inputs[0]).out_desc;
-        const TensorDesc& wt = graph_.node(n.inputs[1]).out_desc;
+        const TensorDesc& x = graph.node(n.inputs[0]).out_desc;
+        const TensorDesc& wt = graph.node(n.inputs[1]).out_desc;
         if (x.shape.size() != 4 || wt.shape.size() != 4) break;
         CpuConvWorkload w;
         w.layout = x.layout;
@@ -362,10 +368,8 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
         w.params.pad_w = a.pad_w;
         w.params.dilation_h = a.dilation_h;
         w.params.dilation_w = a.dilation_w;
-        w.isa = options_.cpu_isa;
-        auto r = profiler.ProfileCpuConv(w);
-        if (!r.ok()) return r.status();
-        record(r.value());
+        w.isa = isa;
+        BOLT_RETURN_IF_ERROR(record(profiler.ProfileCpuConv(w)));
         break;
       }
       default:
@@ -377,21 +381,24 @@ Status Engine::TuneCpuKernels(Profiler& profiler) {
 
 Status Engine::BuildModule(Profiler& profiler) {
   const DeviceSpec& spec = options_.device;
-  std::vector<bool> handled(graph_.num_nodes(), false);
+  const Graph& graph = *graph_;
+  std::vector<bool> handled(graph.num_nodes(), false);
 
-  for (const Node& n : graph_.nodes()) {
+  for (const Node& n : graph.nodes()) {
     if (handled[n.id]) continue;
+    const DType out_dtype = n.out_desc.dtype;
     switch (n.kind) {
       case OpKind::kInput:
       case OpKind::kConstant:
         break;
       case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
+        const GemmCoord p = GemmProblemOf(graph, n);
         const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
         auto r = profiler.ProfileGemm(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
-        plans_[n.id].configs = {r.value().config};
+        plans_.emplace(n.id,
+                       GemmKernel(p, r.value().config, Stamped(e, out_dtype)));
         const std::string name = r.value().config.Name("gemm");
         module_.AddKernelSource(name,
                                 codegen::EmitGemmKernel(p, r.value().config,
@@ -400,25 +407,26 @@ Status Engine::BuildModule(Profiler& profiler) {
         break;
       }
       case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
+        const ConvProblem p = ConvProblemOf(graph, n);
         const EpilogueSpec e = EpilogueFromAttrs(n.attrs);
         auto r = profiler.ProfileConv(p, e);
         if (!r.ok()) return r.status();
         report_.candidates_tried += r.value().candidates_tried;
-        plans_[n.id].configs = {r.value().config};
+        plans_.emplace(n.id, Conv2dKernel(p, r.value().config,
+                                          Stamped(e, out_dtype)));
         codegen::EmitOptions eo;
         if (n.attrs.Has("padded_from_c")) {
           eo.pad_input_channels_to = p.c;
         }
         // Fold adjacent layout transforms into this kernel's iterators.
-        const Node& x = graph_.node(n.inputs[0]);
+        const Node& x = graph.node(n.inputs[0]);
         if (x.kind == OpKind::kLayoutTransform ||
             (x.kind == OpKind::kPadChannels &&
-             graph_.node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
+             graph.node(x.inputs[0]).kind == OpKind::kLayoutTransform)) {
           eo.fold_input_layout_transform = true;
         }
-        for (NodeId c : graph_.Consumers(n.id)) {
-          if (graph_.node(c).kind == OpKind::kLayoutTransform) {
+        for (NodeId c : graph.Consumers(n.id)) {
+          if (graph.node(c).kind == OpKind::kLayoutTransform) {
             eo.fold_output_layout_transform = true;
           }
         }
@@ -429,65 +437,51 @@ Status Engine::BuildModule(Profiler& profiler) {
         break;
       }
       case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<GemmCoord> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(GemmProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        B2bProfileResult r = profiler.ProfileB2bGemm(problems, epilogues);
+        const B2bStages st = B2bStagesOf(graph, n);
+        B2bProfileResult r = profiler.ProfileB2bGemm(st.gemm, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b gemm node no longer feasible: " +
                                   n.name);
         }
-        plans_[n.id].configs = r.configs;
-        plans_[n.id].residence = r.residence;
         std::vector<B2bStage> kstages;
-        for (int s = 0; s < stages; ++s) {
-          kstages.push_back(B2bStage{problems[s], r.configs[s],
-                                     epilogues[s]});
+        for (size_t s = 0; s < st.gemm.size(); ++s) {
+          kstages.push_back(B2bStage{st.gemm[s], r.configs[s],
+                                     st.epilogues[s]});
         }
-        auto kernel = B2bGemmKernel::Create(kstages, r.residence, spec);
+        auto kernel = B2bGemmKernel::Create(Stamped(kstages, out_dtype),
+                                            r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
+        plans_.emplace(n.id, std::move(kernel).value());
         module_.AddKernelSource(
             name, codegen::EmitB2bGemmKernel(kstages, r.residence));
         module_.AddLaunch({LaunchKind::kB2bGemm, name, n.id, r.fused_us});
         break;
       }
       case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        std::vector<ConvProblem> problems;
-        std::vector<EpilogueSpec> epilogues;
-        for (int s = 0; s < stages; ++s) {
-          problems.push_back(ConvProblemOf(graph_, n, s));
-          epilogues.push_back(
-              EpilogueFromAttrs(n.attrs, StrCat("s", s, "_")));
-        }
-        B2bProfileResult r = profiler.ProfileB2bConv(problems, epilogues);
+        const B2bStages st = B2bStagesOf(graph, n);
+        B2bProfileResult r = profiler.ProfileB2bConv(st.conv, st.epilogues);
         if (!r.feasible) {
           return Status::Internal("b2b conv node no longer feasible: " +
                                   n.name);
         }
-        plans_[n.id].configs = r.configs;
-        plans_[n.id].residence = r.residence;
         std::vector<B2bConvStage> kstages;
-        for (int s = 0; s < stages; ++s) {
-          kstages.push_back(B2bConvStage{problems[s], r.configs[s],
-                                         epilogues[s]});
+        for (size_t s = 0; s < st.conv.size(); ++s) {
+          kstages.push_back(B2bConvStage{st.conv[s], r.configs[s],
+                                         st.epilogues[s]});
         }
-        auto kernel = B2bConvKernel::Create(kstages, r.residence, spec);
+        auto kernel = B2bConvKernel::Create(Stamped(kstages, out_dtype),
+                                            r.residence, spec);
         if (!kernel.ok()) return kernel.status();
         const std::string name = kernel.value().Name();
+        plans_.emplace(n.id, std::move(kernel).value());
         module_.AddKernelSource(
             name, codegen::EmitB2bConvKernel(kstages, r.residence));
         module_.AddLaunch({LaunchKind::kB2bConv, name, n.id, r.fused_us});
         break;
       }
       case OpKind::kPadChannels: {
-        const Node& x = graph_.node(n.inputs[0]);
+        const Node& x = graph.node(n.inputs[0]);
         const double us = cutlite::PaddingKernelUs(
             spec, static_cast<double>(x.out_desc.num_bytes()),
             static_cast<double>(n.out_desc.num_bytes()));
@@ -496,16 +490,16 @@ Status Engine::BuildModule(Profiler& profiler) {
         break;
       }
       case OpKind::kLayoutTransform: {
-        if (TransformFoldable(graph_, n)) {
+        if (TransformFoldable(graph, n)) {
           // Folded into the adjacent kernel: traffic cost, no launch.
-          const double us = HostOpCostUs(spec, graph_, n) -
+          const double us = HostOpCostUs(spec, graph, n) -
                             spec.kernel_launch_us;
           module_.AddLaunch({LaunchKind::kHostOp,
                              "folded_layout_transform", n.id,
                              std::max(0.0, us)});
         } else {
           module_.AddLaunch({LaunchKind::kHostOp, "layout_transform", n.id,
-                             HostOpCostUs(spec, graph_, n)});
+                             HostOpCostUs(spec, graph, n)});
         }
         break;
       }
@@ -516,9 +510,9 @@ Status Engine::BuildModule(Profiler& profiler) {
           std::vector<NodeId> chain = {n.id};
           NodeId cur = n.id;
           while (true) {
-            const auto consumers = graph_.Consumers(cur);
+            const auto consumers = graph.Consumers(cur);
             if (consumers.size() != 1) break;
-            const Node& c = graph_.node(consumers[0]);
+            const Node& c = graph.node(consumers[0]);
             if (!IsElementwiseFusable(c.kind) || c.inputs[0] != cur) break;
             chain.push_back(c.id);
             cur = c.id;
@@ -526,10 +520,10 @@ Status Engine::BuildModule(Profiler& profiler) {
           for (NodeId id : chain) handled[id] = true;
           module_.AddLaunch({LaunchKind::kHostOp,
                              StrCat("tvm_elemwise_x", chain.size()), n.id,
-                             ElementwiseChainCostUs(spec, graph_, chain)});
+                             ElementwiseChainCostUs(spec, graph, chain)});
         } else {
           module_.AddLaunch({LaunchKind::kHostOp, OpKindName(n.kind), n.id,
-                             HostOpCostUs(spec, graph_, n)});
+                             HostOpCostUs(spec, graph, n)});
         }
         break;
       }
@@ -544,12 +538,12 @@ Result<std::vector<std::vector<Tensor>>> Engine::RunBatch(
   if (requests.empty()) {
     return Status::InvalidArgument("RunBatch needs at least one request");
   }
-  if (graph_.input_ids().size() != 1) {
+  if (graph_->input_ids().size() != 1) {
     return Status::Unsupported(
         StrCat("RunBatch requires exactly one graph input, got ",
-               graph_.input_ids().size()));
+               graph_->input_ids().size()));
   }
-  const Node& in_node = graph_.node(graph_.input_ids()[0]);
+  const Node& in_node = graph_->node(graph_->input_ids()[0]);
   const TensorDesc& in_desc = in_node.out_desc;
   if (in_desc.rank() < 1) {
     return Status::Unsupported("RunBatch input has no batch axis");
@@ -626,252 +620,42 @@ Result<std::vector<std::vector<Tensor>>> Engine::RunBatch(
 
 Result<std::vector<Tensor>> Engine::Run(
     const std::map<std::string, Tensor>& inputs) const {
-  std::vector<Tensor> env(graph_.num_nodes());
-  const DeviceSpec& spec = options_.device;
-  const bool fast_host =
-      cpukernels::DefaultBackend() == cpukernels::Backend::kFastCpu;
+  return interp_->Run(inputs,
+                      [this](const Node& n, const std::vector<Tensor>& env) {
+                        return RunComposite(n, env);
+                      });
+}
 
-  // Consumer-edge counts let elementwise host ops steal their input's
-  // buffer instead of copying the whole tensor when no one else reads it.
-  std::vector<int> uses(graph_.num_nodes(), 0);
-  std::vector<char> is_out(graph_.num_nodes(), 0);
-  for (const Node& n : graph_.nodes()) {
-    for (NodeId in : n.inputs) ++uses[in];
-  }
-  for (NodeId id : graph_.output_ids()) is_out[id] = 1;
-  auto take_or_copy = [&](NodeId src) -> Tensor {
-    if (uses[src] == 1 && !is_out[src]) return std::move(env[src]);
-    return env[src];
-  };
-
-  for (const Node& n : graph_.nodes()) {
-    switch (n.kind) {
-      case OpKind::kBoltGemm: {
-        const GemmCoord p = GemmProblemOf(graph_, n);
-        EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        // Store at the node's declared precision: an FP32 graph must not
-        // be quantized through the EpilogueSpec's FP16 default.
-        e.output_dtype = n.out_desc.dtype;
-        const auto& plan = plans_.at(n.id);
-        GemmKernel kernel(p, plan.configs[0], e);
-        cutlite::GemmArguments args;
-        args.a = &env[n.inputs[0]];
-        args.w = &env[n.inputs[1]];
-        int idx = 2;
-        if (e.has_bias) args.bias = &env[n.inputs[idx++]];
-        if (e.has_residual) args.c = &env[n.inputs[idx++]];
-        auto out = kernel.Run(args);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltConv2d: {
-        const ConvProblem p = ConvProblemOf(graph_, n);
-        EpilogueSpec e = EpilogueFromAttrs(n.attrs);
-        e.output_dtype = n.out_desc.dtype;
-        const auto& plan = plans_.at(n.id);
-        Conv2dKernel kernel(p, plan.configs[0], e);
-        int idx = 2;
-        const Tensor* bias = e.has_bias ? &env[n.inputs[idx++]] : nullptr;
-        const Tensor* residual =
-            e.has_residual ? &env[n.inputs[idx++]] : nullptr;
-        auto out = kernel.Run(env[n.inputs[0]], env[n.inputs[1]], bias,
-                              residual);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltB2BGemm: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        const auto& plan = plans_.at(n.id);
-        std::vector<B2bStage> kstages;
-        std::vector<const Tensor*> weights, biases;
-        int idx = 1;
-        for (int s = 0; s < stages; ++s) {
-          const GemmCoord p = GemmProblemOf(graph_, n, s);
-          EpilogueSpec e = EpilogueFromAttrs(n.attrs, StrCat("s", s, "_"));
-          e.output_dtype = n.out_desc.dtype;
-          kstages.push_back(B2bStage{p, plan.configs[s], e});
-          weights.push_back(&env[n.inputs[idx++]]);
-          biases.push_back(e.has_bias ? &env[n.inputs[idx++]] : nullptr);
-        }
-        auto kernel = B2bGemmKernel::Create(kstages, plan.residence, spec);
-        if (!kernel.ok()) return kernel.status();
-        auto out = kernel.value().Run(env[n.inputs[0]], weights, biases);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kBoltB2BConv: {
-        const int stages = static_cast<int>(n.attrs.GetInt("stages", 2));
-        const auto& plan = plans_.at(n.id);
-        std::vector<B2bConvStage> kstages;
-        std::vector<const Tensor*> weights, biases;
-        int idx = 1;
-        for (int s = 0; s < stages; ++s) {
-          const ConvProblem p = ConvProblemOf(graph_, n, s);
-          EpilogueSpec e = EpilogueFromAttrs(n.attrs, StrCat("s", s, "_"));
-          e.output_dtype = n.out_desc.dtype;
-          kstages.push_back(B2bConvStage{p, plan.configs[s], e});
-          weights.push_back(&env[n.inputs[idx++]]);
-          biases.push_back(e.has_bias ? &env[n.inputs[idx++]] : nullptr);
-        }
-        auto kernel = B2bConvKernel::Create(kstages, plan.residence, spec);
-        if (!kernel.ok()) return kernel.status();
-        auto out = kernel.value().Run(env[n.inputs[0]], weights, biases);
-        if (!out.ok()) return out.status();
-        env[n.id] = std::move(out).value();
-        break;
-      }
-      case OpKind::kInput: {
-        auto it = inputs.find(n.name);
-        if (it == inputs.end()) {
-          return Status::InvalidArgument("missing input tensor: " + n.name);
-        }
-        env[n.id] = it->second;
-        env[n.id].Quantize();
-        break;
-      }
-      case OpKind::kConstant:
-        if (!graph_.is_constant(n.id)) {
-          return Status::FailedPrecondition(
-              "constant " + n.name + " has no materialized data");
-        }
-        env[n.id] = graph_.constant(n.id);
-        break;
-      case OpKind::kPadChannels:
-        env[n.id] = refop::PadChannels(env[n.inputs[0]],
-                                       n.out_desc.shape.back());
-        break;
-      case OpKind::kBatchNorm:
-        env[n.id] = refop::BatchNorm(
-            env[n.inputs[0]], env[n.inputs[1]], env[n.inputs[2]],
-            env[n.inputs[3]], env[n.inputs[4]],
-            static_cast<float>(n.attrs.GetFloat("eps", 1e-5)));
-        break;
-      case OpKind::kConcat: {
-        std::vector<const Tensor*> parts;
-        for (NodeId in : n.inputs) parts.push_back(&env[in]);
-        env[n.id] = refop::Concat(parts);
-        break;
-      }
-      case OpKind::kConv2d: {
-        // Unfused primitive conv (e.g. dilated, which the epilogue-fusion
-        // pass leaves alone): execute on the host kernels directly.
-        const Conv2dAttrs a = Conv2dAttrs::FromNode(n);
-        if (fast_host) {
-          cpukernels::ConvParams p;
-          p.stride_h = a.stride_h;
-          p.stride_w = a.stride_w;
-          p.pad_h = a.pad_h;
-          p.pad_w = a.pad_w;
-          p.dilation_h = a.dilation_h;
-          p.dilation_w = a.dilation_w;
-          cpukernels::Epilogue epi;
-          epi.output_dtype = n.out_desc.dtype;
-          epi.boundary_quantize = true;
-          // Profiler-tuned block for this implicit-GEMM shape, if any.
-          const cpukernels::ConvGemmShape shape =
-              cpukernels::ResolveConvGemmShape(env[n.inputs[0]],
-                                               env[n.inputs[1]], p);
-          // Shape-bucketed reuse: a batched serving execution whose exact
-          // implicit-GEMM shape was never tuned still rides the nearest
-          // tuned batch size for the same (n, k).
-          const cpukernels::BlockConfig block =
-              cpukernels::FindTunedBlockNearBatch(
-                  cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,
-                  cpukernels::DefaultBackend(),
-                  env[n.inputs[0]].layout())
-                  .value_or(cpukernels::BlockConfig{});
-          env[n.id] =
-              cpukernels::Conv2d(env[n.inputs[0]], env[n.inputs[1]], p, epi,
-                                 block, &cpukernels::ProcessPool());
-        } else {
-          env[n.id] = refop::Conv2d(env[n.inputs[0]], env[n.inputs[1]], a);
-        }
-        break;
-      }
-      case OpKind::kDense: {
-        if (fast_host) {
-          cpukernels::Epilogue epi;
-          epi.output_dtype = n.out_desc.dtype;
-          epi.boundary_quantize = true;
-          const Tensor& act = env[n.inputs[0]];
-          const Tensor& wt = env[n.inputs[1]];
-          const cpukernels::BlockConfig block =
-              cpukernels::FindTunedBlockNearBatch(
-                  cpukernels::TunedKind::kGemm, act.shape()[0],
-                  wt.shape()[0], act.shape()[1],
-                  cpukernels::DefaultBackend())
-                  .value_or(cpukernels::BlockConfig{});
-          env[n.id] = cpukernels::Gemm(act, wt, epi, block,
-                                       &cpukernels::ProcessPool());
-        } else {
-          env[n.id] = refop::Dense(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      }
-      case OpKind::kBiasAdd: {
-        Tensor t = take_or_copy(n.inputs[0]);
-        refop::BiasAddInPlace(t, env[n.inputs[1]]);
-        env[n.id] = std::move(t);
-        break;
-      }
-      case OpKind::kActivation: {
-        auto k = ActivationFromName(n.attrs.GetStr("kind"));
-        if (!k.ok()) return k.status();
-        Tensor t = take_or_copy(n.inputs[0]);
-        refop::ActivationInPlace(t, k.value());
-        env[n.id] = std::move(t);
-        break;
-      }
-      case OpKind::kAdd:
-        if (n.inputs[0] != n.inputs[1]) {
-          Tensor t = take_or_copy(n.inputs[0]);
-          refop::AddInPlace(t, env[n.inputs[1]]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::Add(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      case OpKind::kMul:
-        if (n.inputs[0] != n.inputs[1]) {
-          Tensor t = take_or_copy(n.inputs[0]);
-          refop::MulInPlace(t, env[n.inputs[1]]);
-          env[n.id] = std::move(t);
-        } else {
-          env[n.id] = refop::Mul(env[n.inputs[0]], env[n.inputs[1]]);
-        }
-        break;
-      case OpKind::kCast:
-        env[n.id] = env[n.inputs[0]].Cast(n.out_desc.dtype);
-        break;
-      case OpKind::kMaxPool2d:
-        env[n.id] =
-            refop::MaxPool2d(env[n.inputs[0]], n.attrs.GetInt("kernel"),
-                             n.attrs.GetInt("stride"));
-        break;
-      case OpKind::kGlobalAvgPool:
-        env[n.id] = refop::GlobalAvgPool(env[n.inputs[0]]);
-        break;
-      case OpKind::kFlatten:
-        env[n.id] = refop::Flatten(env[n.inputs[0]]);
-        break;
-      case OpKind::kSoftmax:
-        env[n.id] = refop::Softmax(env[n.inputs[0]]);
-        break;
-      case OpKind::kLayoutTransform:
-        env[n.id] = refop::LayoutTransform(env[n.inputs[0]],
-                                           n.out_desc.layout);
-        break;
-      default:
-        return Status::Unsupported(StrCat("engine cannot execute op ",
-                                          OpKindName(n.kind)));
+Result<Tensor> Engine::RunComposite(const Node& n,
+                                    const std::vector<Tensor>& env) const {
+  switch (n.kind) {
+    case OpKind::kBoltGemm: {
+      const GemmKernel& kernel = std::get<GemmKernel>(plans_.at(n.id));
+      cutlite::GemmArguments args;
+      args.a = &env[n.inputs[0]];
+      args.w = &env[n.inputs[1]];
+      int idx = 2;
+      if (kernel.epilogue().has_bias) args.bias = &env[n.inputs[idx++]];
+      if (kernel.epilogue().has_residual) args.c = &env[n.inputs[idx++]];
+      return kernel.Run(args);
     }
+    case OpKind::kBoltConv2d: {
+      const Conv2dKernel& kernel = std::get<Conv2dKernel>(plans_.at(n.id));
+      int idx = 2;
+      const Tensor* bias =
+          kernel.epilogue().has_bias ? &env[n.inputs[idx++]] : nullptr;
+      const Tensor* residual =
+          kernel.epilogue().has_residual ? &env[n.inputs[idx++]] : nullptr;
+      return kernel.Run(env[n.inputs[0]], env[n.inputs[1]], bias, residual);
+    }
+    case OpKind::kBoltB2BGemm:
+      return RunB2b(std::get<B2bGemmKernel>(plans_.at(n.id)), n, env);
+    case OpKind::kBoltB2BConv:
+      return RunB2b(std::get<B2bConvKernel>(plans_.at(n.id)), n, env);
+    default:
+      return Status::Unsupported(
+          StrCat("engine cannot execute op ", OpKindName(n.kind)));
   }
-  std::vector<Tensor> outs;
-  for (NodeId id : graph_.output_ids()) outs.push_back(env[id]);
-  return outs;
 }
 
 }  // namespace bolt

@@ -11,23 +11,33 @@
 // the target device, (b) execute the model functionally (validated against
 // the reference interpreter), and (c) report how long tuning took on the
 // simulated tuning clock (Fig. 10b).
+//
+// Functional execution follows the BYOC split: Run launches the composite
+// kernels built once at compile time for the offloaded bolt.* nodes and
+// hands every other node to an Interpreter over the optimized graph — the
+// only host-op executor.
 
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bolt/passes.h"
 #include "codegen/module.h"
 #include "cutlite/b2b.h"
+#include "cutlite/conv.h"
+#include "cutlite/gemm.h"
 #include "device/spec.h"
 #include "ir/graph.h"
 #include "ir/partition.h"
 #include "profiler/profiler.h"
 
 namespace bolt {
+
+class Interpreter;
 
 struct CompileOptions {
   DeviceSpec device = DeviceSpec::TeslaT4();
@@ -103,7 +113,7 @@ class Engine {
                                 const CompileOptions& options);
 
   /// The graph after all Bolt passes (composite bolt.* ops present).
-  const Graph& optimized_graph() const { return graph_; }
+  const Graph& optimized_graph() const { return *graph_; }
 
   /// Generated-code module: kernel sources + launch plan.
   const codegen::RuntimeModule& module() const { return module_; }
@@ -117,6 +127,8 @@ class Engine {
   const DeviceSpec& device() const { return options_.device; }
 
   /// Functional execution (FP16-faithful). Weights must be materialized.
+  /// Composite nodes launch their prebuilt kernels; every other node runs
+  /// on the Interpreter.
   Result<std::vector<Tensor>> Run(
       const std::map<std::string, Tensor>& inputs) const;
 
@@ -141,15 +153,15 @@ class Engine {
       const std::vector<Tensor>& requests) const;
 
  private:
-  /// Per-node kernel plan recorded at compile time.
-  struct NodePlan {
-    std::vector<cutlite::KernelConfig> configs;  // one per stage
-    cutlite::ResidenceKind residence =
-        cutlite::ResidenceKind::kRegisterFile;
-  };
+  /// The executable kernel of one composite node, built once by
+  /// BuildModule with the profiled configs; Run only binds operands.
+  using NodePlan = std::variant<cutlite::GemmKernel, cutlite::Conv2dKernel,
+                                cutlite::B2bGemmKernel,
+                                cutlite::B2bConvKernel>;
 
   Engine(Graph graph, CompileOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+      : graph_(std::make_shared<const Graph>(std::move(graph))),
+        options_(std::move(options)) {}
 
   /// Warms the profiler's best-config cache by fanning the graph's
   /// independent partitioned workloads out across the profiler's worker
@@ -165,11 +177,20 @@ class Engine {
   /// cpu_* fields of report_.
   Status TuneCpuKernels(Profiler& profiler);
 
-  Graph graph_;
+  /// Launches the prebuilt kernel of one composite node (the
+  /// Interpreter's composite handler).
+  Result<Tensor> RunComposite(const Node& node,
+                              const std::vector<Tensor>& env) const;
+
+  /// Shared so that its address survives moves of the Engine: interp_
+  /// holds a reference to it.
+  std::shared_ptr<const Graph> graph_;
   CompileOptions options_;
   codegen::RuntimeModule module_;
   TuningReport report_;
   std::map<NodeId, NodePlan> plans_;
+  /// Executes graph_; built once at the end of Compile.
+  std::shared_ptr<const Interpreter> interp_;
 };
 
 }  // namespace bolt

@@ -106,11 +106,17 @@ void ThreadPool::ParallelFor(int64_t n,
     Submit([state, drain] { drain(state); });
   }
   drain(state);
+  // Take the error out under the lock: a helper may still hold the last
+  // reference to `state` after `done` reaches n, and must only ever
+  // destroy an empty exception_ptr, never the exception the caller is
+  // reading.
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait(lock, [&] { return state->done.load() == n; });
+    error = std::move(state->error);
   }
-  if (state->error != nullptr) std::rethrow_exception(state->error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace bolt

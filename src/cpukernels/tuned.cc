@@ -75,8 +75,8 @@ std::optional<BlockConfig> FindTunedBlockForBackend(TunedKind kind,
                                                     Layout layout) {
   if (backend == Backend::kReference) return std::nullopt;
   // Hit/miss counters make registry consultation observable: execution
-  // paths that should pick up tuned blocks (interpreter, engine host ops,
-  // cutlite delegation) can be asserted on without plumbing test hooks.
+  // paths that should pick up tuned blocks (interpreter, cutlite
+  // delegation) can be asserted on without plumbing test hooks.
   LookupCounters& counters = LookupCounters::Get();
   Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -453,31 +453,33 @@ Tensor Interpreter::RunChain(const FusedChain& ch,
     p.pad_w = attrs.pad_w;
     p.dilation_h = attrs.dilation_h;
     p.dilation_w = attrs.dilation_w;
-    cpukernels::BlockConfig block = options_.block;
-    if (options_.use_tuned_blocks) {
-      const cpukernels::ConvGemmShape shape = cpukernels::ResolveConvGemmShape(
-          env[a.inputs[0]], env[a.inputs[1]], p);
-      if (auto tuned = cpukernels::FindTunedBlockForBackend(
-              cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,
-              options_.backend, env[a.inputs[0]].layout())) {
-        block = *tuned;
-      }
-    }
-    return cpukernels::Conv2d(env[a.inputs[0]], env[a.inputs[1]], p, epi,
-                              block, pool);
+    const cpukernels::ConvGemmShape shape = cpukernels::ResolveConvGemmShape(
+        env[a.inputs[0]], env[a.inputs[1]], p);
+    return cpukernels::Conv2d(
+        env[a.inputs[0]], env[a.inputs[1]], p, epi,
+        BlockFor(cpukernels::TunedKind::kConv, shape.m, shape.n, shape.k,
+                 env[a.inputs[0]].layout()),
+        pool);
   }
-  cpukernels::BlockConfig block = options_.block;
-  if (options_.use_tuned_blocks) {
-    const Tensor& act = env[a.inputs[0]];
-    const Tensor& wt = env[a.inputs[1]];
-    if (auto tuned = cpukernels::FindTunedBlockForBackend(
-            cpukernels::TunedKind::kGemm, act.shape()[0], wt.shape()[0],
-            act.shape()[1], options_.backend)) {
-      block = *tuned;
-    }
-  }
-  return cpukernels::Gemm(env[a.inputs[0]], env[a.inputs[1]], epi, block,
-                          pool);
+  const Tensor& act = env[a.inputs[0]];
+  const Tensor& wt = env[a.inputs[1]];
+  return cpukernels::Gemm(
+      act, wt, epi,
+      BlockFor(cpukernels::TunedKind::kGemm, act.shape()[0], wt.shape()[0],
+               act.shape()[1], Layout::kRowMajor),
+      pool);
+}
+
+cpukernels::BlockConfig Interpreter::BlockFor(cpukernels::TunedKind kind,
+                                              int64_t m, int64_t n, int64_t k,
+                                              Layout layout) const {
+  if (!options_.use_tuned_blocks) return options_.block;
+  // Exact shape first; a batch size that was never tuned (a serving
+  // bucket, a batched RunBatch) rides the nearest tuned batch for the
+  // same (n, k).  One registry lookup, one counter, per launch.
+  return cpukernels::FindTunedBlockNearBatch(kind, m, n, k, options_.backend,
+                                             layout)
+      .value_or(options_.block);
 }
 
 Tensor Interpreter::TakeOrCopy(std::vector<Tensor>& env, NodeId src) const {
@@ -488,7 +490,8 @@ Tensor Interpreter::TakeOrCopy(std::vector<Tensor>& env, NodeId src) const {
 }
 
 Result<std::vector<Tensor>> Interpreter::Run(
-    const std::map<std::string, Tensor>& inputs) const {
+    const std::map<std::string, Tensor>& inputs,
+    const CompositeHandler& composite) const {
   std::vector<Tensor> env(graph_.num_nodes());
   for (const Node& n : graph_.nodes()) {
     if (fast_) {
@@ -607,11 +610,18 @@ Result<std::vector<Tensor>> Interpreter::Run(
         env[n.id] = refop::Concat(parts);
         break;
       }
-      default:
-        return Status::Unsupported(
-            StrCat("interpreter cannot execute composite op ",
-                   OpKindName(n.kind), " (node ", n.name,
-                   "); use the Bolt engine"));
+      default: {
+        if (!composite) {
+          return Status::Unsupported(
+              StrCat("interpreter cannot execute composite op ",
+                     OpKindName(n.kind), " (node ", n.name,
+                     "); use the Bolt engine"));
+        }
+        auto out = composite(n, env);
+        if (!out.ok()) return out.status();
+        env[n.id] = std::move(out).value();
+        break;
+      }
     }
   }
   std::vector<Tensor> outs;

@@ -1,7 +1,9 @@
 // Copyright (c) 2026 The Bolt Reproduction Authors.
 // SPDX-License-Identifier: Apache-2.0
 //
-// Graph interpreter with two execution backends:
+// The graph interpreter: the only executor of primitive (host) ops.
+//
+// Two execution backends:
 //
 //  * kFastCpu (default): Conv2d/Dense run on the blocked, packed, epilogue-
 //    fused CPU kernels in src/cpukernels (docs/CPU_BACKEND.md).  Chains of
@@ -15,12 +17,16 @@
 //  * kReference: the original naive per-op loops, kept as the oracle (see
 //    RefExecutor below).  BOLT_CPU_BACKEND=ref selects it process-wide.
 //
-// The Bolt engine's fused kernels are validated against this interpreter,
-// and the engine reuses the per-op refop kernels for non-offloaded
-// (TVM-fallback) nodes.
+// Composite bolt.* nodes are not primitive ops.  Run() hands each one to
+// an optional CompositeHandler supplied by the caller; the Bolt engine
+// passes one that launches its prebuilt templated kernels and leaves
+// every other node here (the paper's BYOC split: offloaded subgraphs run
+// Bolt's kernels, everything else falls back to the host runtime).
+// Without a handler, composite nodes are rejected as Unsupported.
 
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,12 +35,14 @@
 #include "common/thread_pool.h"
 #include "cpukernels/backend.h"
 #include "cpukernels/config.h"
+#include "cpukernels/tuned.h"
 #include "ir/graph.h"
 #include "ir/tensor.h"
 
 namespace bolt {
 
-/// Per-op reference kernels (exposed for reuse by the Bolt engine).
+/// Per-op reference kernels: the oracle's loops (the fast backend reuses
+/// the elementwise ones), exposed for tests and differential checks.
 namespace refop {
 
 Tensor Conv2d(const Tensor& x, const Tensor& w, const Conv2dAttrs& attrs);
@@ -82,22 +90,31 @@ struct InterpreterOptions {
   /// Cache blocking for the fast kernels.
   cpukernels::BlockConfig block;
   /// Consult the process-wide tuned-block registry (cpukernels/tuned.h)
-  /// per kernel launch, falling back to `block` on a miss.  The reference
-  /// oracle disables this so its numerics can never depend on tuning
-  /// state (the registry additionally ignores lookups under the ref
-  /// backend — belt and braces).
+  /// per kernel launch — exact shape first, else the nearest tuned batch
+  /// size for the same (n, k) — falling back to `block` on a miss.  The
+  /// reference oracle disables this so its numerics can never depend on
+  /// tuning state (the registry additionally ignores lookups under the
+  /// ref backend — belt and braces).
   bool use_tuned_blocks = true;
 };
 
-/// Executes a graph of primitive ops. Composite bolt.* nodes are rejected —
-/// run those through the Bolt engine instead.
+/// Executes a graph of primitive ops; composite bolt.* nodes go to the
+/// caller's CompositeHandler.  `graph` must outlive the interpreter.
 class Interpreter {
  public:
+  /// Computes one composite node from the values of the nodes before it
+  /// (`env`, indexed by NodeId; every input of `node` is materialized).
+  using CompositeHandler = std::function<Result<Tensor>(
+      const Node& node, const std::vector<Tensor>& env)>;
+
   explicit Interpreter(const Graph& graph, InterpreterOptions options = {});
 
-  /// Runs the graph. `inputs` maps input-node names to tensors.
+  /// Runs the graph. `inputs` maps input-node names to tensors.  Composite
+  /// nodes are executed by `composite`, or rejected as Unsupported when it
+  /// is empty.
   Result<std::vector<Tensor>> Run(
-      const std::map<std::string, Tensor>& inputs) const;
+      const std::map<std::string, Tensor>& inputs,
+      const CompositeHandler& composite = nullptr) const;
 
   const InterpreterOptions& options() const { return options_; }
 
@@ -117,6 +134,10 @@ class Interpreter {
   ThreadPool* ResolvePool() const;
   Tensor RunChain(const FusedChain& chain,
                   const std::vector<Tensor>& env) const;
+  /// The block for one kernel launch of shape (m, n, k): the tuned-block
+  /// registry's pick under options_.use_tuned_blocks, else options_.block.
+  cpukernels::BlockConfig BlockFor(cpukernels::TunedKind kind, int64_t m,
+                                   int64_t n, int64_t k, Layout layout) const;
   /// Moves env[src] out if this node is its only reader and it is not a
   /// graph output; copies otherwise.
   Tensor TakeOrCopy(std::vector<Tensor>& env, NodeId src) const;

@@ -9,8 +9,9 @@
 //    a trained model ranks a separable candidate set correctly.
 //  * Tuned-registry lookups: FindTunedBlockNearBatch counter exactness
 //    (one request feeds exactly one of hit/near/miss — the double-count
-//    regression), smallest-above-else-largest-below preference, and the
-//    nearest-shape transfer query FindTunedBlockNearShape.
+//    regression, also through the interpreter's host Dense),
+//    smallest-above-else-largest-below preference, and the nearest-shape
+//    transfer query FindTunedBlockNearShape.
 //  * Profiler ranked sweeps end to end: unconfident sweeps fall back to
 //    the full candidate set, confident ones measure a strict subset while
 //    still selecting a valid block, transfer seeds join the sweep, and
@@ -26,6 +27,7 @@
 #include "cpukernels/backend.h"
 #include "cpukernels/cpuinfo.h"
 #include "cpukernels/tuned.h"
+#include "ir/interpreter.h"
 #include "profiler/cpu_rank.h"
 #include "profiler/cpu_tune.h"
 #include "profiler/profiler.h"
@@ -245,6 +247,29 @@ TEST(NearBatchLookupTest, EachRequestFeedsExactlyOneCounter) {
     EXPECT_EQ(d.hit(), 0);
     EXPECT_EQ(d.miss(), 1);
     EXPECT_EQ(d.near(), 0);
+  }
+  {
+    // The interpreter's host Dense makes the same single lookup per
+    // launch: m=3 with (n, k) = (24, 40) tuned only at m=4 rides the m=4
+    // block — one near, no miss.
+    ASSERT_TRUE(
+        cpukernels::RegisterTunedBlock(TunedKind::kGemm, 4, 24, 40, small));
+    GraphBuilder b(DType::kFloat32, Layout::kRowMajor);
+    const NodeId x = b.Input("x", {3, 40});
+    b.MarkOutput(b.Dense(
+        x, b.Constant("w", Tensor(TensorDesc(DType::kFloat32, {24, 40})))));
+    auto g = b.Build();
+    ASSERT_TRUE(g.ok());
+    InterpreterOptions fast;
+    fast.backend = cpukernels::Backend::kFastCpu;
+    const Interpreter interp(*g, fast);
+    LookupDeltas d;
+    auto out =
+        interp.Run({{"x", Tensor(TensorDesc(DType::kFloat32, {3, 40}))}});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(d.hit(), 0);
+    EXPECT_EQ(d.miss(), 0);
+    EXPECT_EQ(d.near(), 1);
   }
   {
     // Reference backend: gated out before any counter.

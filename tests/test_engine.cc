@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bolt/engine.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "cpukernels/cpuinfo.h"
 #include "ir/interpreter.h"
+#include "testing/diff_harness.h"
 
 namespace bolt {
 namespace {
 
-Tensor RandomWeight(std::vector<int64_t> shape, uint64_t seed) {
-  Tensor t(TensorDesc(DType::kFloat16, std::move(shape)));
+Tensor RandomWeight(std::vector<int64_t> shape, uint64_t seed,
+                    DType dtype = DType::kFloat16) {
+  Tensor t(TensorDesc(dtype, std::move(shape)));
   Rng rng(seed);
   int64_t fan = 1;
   for (size_t i = 1; i < t.shape().size(); ++i) fan *= t.shape()[i];
@@ -238,6 +243,68 @@ TEST(EngineTest, MultiOutputGraph) {
   ASSERT_TRUE(ref.ok());
   EXPECT_LE(out.value()[0].MaxAbsDiff(ref.value()[0]), 5e-3f);
   EXPECT_LE(out.value()[1].MaxAbsDiff(ref.value()[1]), 5e-3f);
+}
+
+TEST(EngineTest, MovedEngineRunsCompositesAndHostOpsLikeTheOracle) {
+  // One offloaded bolt.conv2d next to host nodes the engine hands to its
+  // interpreter: a dilated conv + BiasAdd + relu (epilogue fusion leaves
+  // dilated convs alone), max-pool, global-average-pool, flatten, softmax.
+  // FP32 keeps the scalar tier bit-exact end to end.
+  constexpr DType kF32 = DType::kFloat32;
+  GraphBuilder b(kF32, Layout::kNHWC);
+  NodeId x = b.Input("x", {2, 10, 10, 8});
+  Conv2dAttrs a;
+  a.pad_h = a.pad_w = 1;
+  NodeId y = b.Conv2d(
+      x, b.Constant("w0", RandomWeight({16, 3, 3, 8}, 31, kF32)), a, "conv0");
+  y = b.BiasAdd(y, b.Constant("b0", RandomWeight({16}, 32, kF32)));
+  y = b.Activation(y, ActivationKind::kRelu);
+  Conv2dAttrs dilated;
+  dilated.pad_h = dilated.pad_w = 2;
+  dilated.dilation_h = dilated.dilation_w = 2;
+  y = b.Conv2d(y,
+               b.Constant("w1", RandomWeight({16, 3, 3, 16}, 33, kF32)),
+               dilated, "dilated");
+  y = b.BiasAdd(y, b.Constant("b1", RandomWeight({16}, 34, kF32)));
+  y = b.Activation(y, ActivationKind::kRelu);
+  y = b.MaxPool2d(y, 2, 2);
+  y = b.GlobalAvgPool(y);
+  y = b.Flatten(y);
+  y = b.Softmax(y);
+  b.MarkOutput(y);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+
+  auto compiled = Engine::Compile(*g, CompileOptions{});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  // The engine's interpreter refers to the optimized graph; moving the
+  // engine must not leave it dangling.
+  std::optional<Engine> engine;
+  engine.emplace(std::move(compiled).value());
+  int composites = 0, host_convs = 0;
+  for (const Node& n : engine->optimized_graph().nodes()) {
+    composites += n.kind == OpKind::kBoltConv2d;
+    host_convs += n.kind == OpKind::kConv2d;
+  }
+  EXPECT_EQ(composites, 1);
+  EXPECT_EQ(host_convs, 1);
+
+  Tensor input(TensorDesc(kF32, {2, 10, 10, 8}, Layout::kNHWC));
+  Rng rng(35);
+  rng.FillNormal(input.data(), 0.7f);
+  auto out = engine->Run({{"x", input}});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  auto ref = RefExecutor(*g).Run({{"x", input}});
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_TRUE(difftest::CheckDiff(
+      "engine", out.value()[0], ref.value()[0],
+      difftest::ToleranceFor(
+          cpukernels::ResolveCpuIsa(cpukernels::CpuIsa::kAuto), kF32)));
+
+  // RunBatch of one full-batch request takes the same path.
+  auto batched = engine->RunBatch({input});
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  EXPECT_EQ(batched.value()[0][0].MaxAbsDiff(out.value()[0]), 0.0f);
 }
 
 TEST(EngineTest, TimingOnlyGraphRejectsFunctionalRun) {
